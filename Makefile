@@ -108,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMempoolAdmit -fuzztime 3s ./internal/mempool/
 	$(GO) test -run '^$$' -fuzz FuzzMVVersionChain -fuzztime 3s ./internal/mv/
 	$(GO) test -run '^$$' -fuzz FuzzNodeStore -fuzztime 3s ./internal/trie/store/
+	$(GO) test -run '^$$' -fuzz FuzzKeccakSponge -fuzztime 3s ./internal/crypto/
 
 # Disk-backed state gate: the persistence battery's CI short-mode scale run —
 # a 500k-account chunked genesis plus chained block commits with pruning,
@@ -148,7 +149,7 @@ bench-state:
 	$(GO) run ./cmd/bpbench -exp state -telemetry-report=false -bench-out BENCH_state.json
 
 bench-go:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/bench/ ./internal/scheduler/ ./internal/mempool/
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/bench/ ./internal/scheduler/ ./internal/mempool/ ./internal/crypto/ ./internal/trie/
 
 telemetry-bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/telemetry/

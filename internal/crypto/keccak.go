@@ -8,60 +8,8 @@ package crypto
 
 import (
 	"encoding/binary"
-	"math/bits"
 	"sync"
 )
-
-// roundConstants are the keccak-f[1600] iota round constants.
-var roundConstants = [24]uint64{
-	0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
-	0x000000000000808B, 0x0000000080000001, 0x8000000080008081, 0x8000000000008009,
-	0x000000000000008A, 0x0000000000000088, 0x0000000080008009, 0x000000008000000A,
-	0x000000008000808B, 0x800000000000008B, 0x8000000000008089, 0x8000000000008003,
-	0x8000000000008002, 0x8000000000000080, 0x000000000000800A, 0x800000008000000A,
-	0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
-}
-
-// rotationOffsets holds the rho-step rotation for lane (x, y) at index x+5y.
-var rotationOffsets = [25]int{
-	0, 1, 62, 28, 27,
-	36, 44, 6, 55, 20,
-	3, 10, 43, 25, 39,
-	41, 45, 15, 21, 8,
-	18, 2, 61, 56, 14,
-}
-
-// keccakF applies the 24-round keccak-f[1600] permutation in place.
-func keccakF(a *[25]uint64) {
-	for round := 0; round < 24; round++ {
-		// theta
-		var c [5]uint64
-		for x := 0; x < 5; x++ {
-			c[x] = a[x] ^ a[x+5] ^ a[x+10] ^ a[x+15] ^ a[x+20]
-		}
-		for x := 0; x < 5; x++ {
-			d := c[(x+4)%5] ^ bits.RotateLeft64(c[(x+1)%5], 1)
-			for y := 0; y < 25; y += 5 {
-				a[x+y] ^= d
-			}
-		}
-		// rho and pi
-		var b [25]uint64
-		for x := 0; x < 5; x++ {
-			for y := 0; y < 5; y++ {
-				b[y+5*((2*x+3*y)%5)] = bits.RotateLeft64(a[x+5*y], rotationOffsets[x+5*y])
-			}
-		}
-		// chi
-		for y := 0; y < 25; y += 5 {
-			for x := 0; x < 5; x++ {
-				a[x+y] = b[x+y] ^ (^b[(x+1)%5+y] & b[(x+2)%5+y])
-			}
-		}
-		// iota
-		a[0] ^= roundConstants[round]
-	}
-}
 
 // rate is the sponge rate in bytes for 256-bit output: 1600/8 - 2*32.
 const rate = 136
@@ -82,24 +30,59 @@ func (k *Keccak) Reset() { *k = Keccak{} }
 // Write absorbs p into the sponge. It never fails.
 func (k *Keccak) Write(p []byte) (int, error) {
 	n := len(p)
-	for len(p) > 0 {
+	if k.buffed > 0 {
 		c := copy(k.buf[k.buffed:], p)
 		k.buffed += c
 		p = p[c:]
-		if k.buffed == rate {
-			k.absorb()
+		if k.buffed < rate {
+			return n, nil
 		}
+		absorbBlock(&k.state, k.buf[:])
+		k.buffed = 0
 	}
+	// Full blocks go straight from p into the state, skipping the buffer.
+	for len(p) >= rate {
+		absorbBlock(&k.state, p[:rate])
+		p = p[rate:]
+	}
+	k.buffed = copy(k.buf[:], p)
 	return n, nil
 }
 
-// absorb XORs the full buffer into the state and permutes.
-func (k *Keccak) absorb() {
+// absorbBlock XORs one rate-sized block into the state and permutes.
+func absorbBlock(a *[25]uint64, block []byte) {
+	_ = block[rate-1] // one bounds check for the whole block
 	for i := 0; i < rate/8; i++ {
-		k.state[i] ^= binary.LittleEndian.Uint64(k.buf[i*8:])
+		a[i] ^= binary.LittleEndian.Uint64(block[i*8:])
 	}
-	keccakF(&k.state)
-	k.buffed = 0
+	keccakF(a)
+}
+
+// finish pads the final partial block tail (len(tail) < rate) with the
+// legacy Keccak multi-rate padding 0x01 ... 0x80 (possibly the same byte),
+// absorbs it into a, and writes the digest into dst. The padded block is
+// built in a stack buffer, so the caller's buffer is left untouched.
+func finish(dst *[32]byte, a *[25]uint64, tail []byte) {
+	var last [rate]byte
+	copy(last[:], tail)
+	last[len(tail)] = 0x01
+	last[rate-1] |= 0x80
+	absorbBlock(a, last[:])
+	for i := 0; i < 4; i++ {
+		binary.LittleEndian.PutUint64(dst[i*8:], a[i])
+	}
+}
+
+// sum256 is the one-shot sponge: full blocks are absorbed straight from
+// data and only the final partial block is copied, into finish's stack
+// buffer.
+func sum256(dst *[32]byte, data []byte) {
+	var a [25]uint64
+	for len(data) >= rate {
+		absorbBlock(&a, data[:rate])
+		data = data[rate:]
+	}
+	finish(dst, &a, data)
 }
 
 // Sum appends the 32-byte digest to b. The hasher can keep absorbing
@@ -112,22 +95,10 @@ func (k *Keccak) Sum(b []byte) []byte {
 
 // SumInto writes the 32-byte digest into dst without allocating. Like Sum,
 // the hasher can keep absorbing afterwards as if SumInto had not been
-// called. This is the zero-alloc primitive the trie/state hot paths use.
+// called: only the lanes are copied, and the padding happens on the stack.
 func (k *Keccak) SumInto(dst *[32]byte) {
-	// Work on a copy so the caller can continue writing.
-	dup := *k
-	// Legacy Keccak multi-rate padding: 0x01 ... 0x80 (possibly same byte).
-	dup.buf[dup.buffed] = 0x01
-	for i := dup.buffed + 1; i < rate; i++ {
-		dup.buf[i] = 0
-	}
-	dup.buf[rate-1] |= 0x80
-	dup.buffed = rate
-	dup.absorb()
-
-	for i := 0; i < 4; i++ {
-		binary.LittleEndian.PutUint64(dst[i*8:], dup.state[i])
-	}
+	a := k.state
+	finish(dst, &a, k.buf[:k.buffed])
 }
 
 // Size returns the digest length in bytes.
@@ -138,26 +109,21 @@ func (k *Keccak) BlockSize() int { return rate }
 
 // Keccak256 returns the Keccak-256 digest of the concatenation of the inputs.
 func Keccak256(data ...[]byte) []byte {
-	var k Keccak
-	for _, d := range data {
-		k.Write(d)
-	}
-	return k.Sum(nil)
+	out := make([]byte, 32)
+	Keccak256Into((*[32]byte)(out), data...)
+	return out
 }
 
 // Sum256 returns the Keccak-256 digest of data as a fixed array.
 func Sum256(data []byte) [32]byte {
-	var k Keccak
-	k.Write(data)
 	var out [32]byte
-	k.SumInto(&out)
+	sum256(&out, data)
 	return out
 }
 
-// hasherPool recycles Keccak states across the trie/state commit hot paths.
-// A Keccak is ~350 bytes of pure value state, so pooling avoids both the
-// allocation and the zeroing cost when a hash is computed deep inside a
-// per-node loop. Callers must Reset-and-return via PutHasher.
+// hasherPool backs GetHasher/PutHasher: it recycles streaming Keccak
+// states, saving both the allocation and the zeroing of the ~350-byte
+// struct. Callers must Reset-and-return via PutHasher.
 var hasherPool = sync.Pool{New: func() any { return new(Keccak) }}
 
 // GetHasher returns a reset Keccak-256 hasher from the shared pool.
@@ -173,15 +139,18 @@ func PutHasher(k *Keccak) {
 }
 
 // Keccak256Into writes the Keccak-256 digest of the concatenation of the
-// inputs into dst. It allocates nothing: the sponge comes from the shared
-// pool and the digest lands in caller-owned memory. This is the primitive
-// behind the state commit path's hashed-key cache.
+// inputs into dst. It allocates nothing: a single input takes the one-shot
+// sponge, several are streamed through a stack-local hasher, and the digest
+// lands in caller-owned memory. This is the primitive behind the state
+// layer's hashed-key cache and the trie's node references.
 func Keccak256Into(dst *[32]byte, data ...[]byte) {
-	k := hasherPool.Get().(*Keccak)
+	if len(data) == 1 {
+		sum256(dst, data[0])
+		return
+	}
+	var k Keccak
 	for _, d := range data {
 		k.Write(d)
 	}
 	k.SumInto(dst)
-	k.Reset()
-	hasherPool.Put(k)
 }

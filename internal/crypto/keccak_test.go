@@ -3,6 +3,7 @@ package crypto
 import (
 	"bytes"
 	"encoding/hex"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -157,32 +158,224 @@ func TestKeccak256IntoZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Sum256(32B) allocates %.1f/op, want 0", allocs)
 	}
+	// A full branch node: 16 hash references plus the empty value.
+	branch := make([]byte, 532)
+	if allocs := testing.AllocsPerRun(200, func() {
+		_ = Sum256(branch)
+	}); allocs != 0 {
+		t.Fatalf("Sum256(532B) allocates %.1f/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		Keccak256Into(&out, data, branch)
+	}); allocs != 0 {
+		t.Fatalf("Keccak256Into(32B, 532B) allocates %.1f/op, want 0", allocs)
+	}
 }
+
+// sink keeps the compiler from discarding benchmarked digests.
+var sink [32]byte
 
 func BenchmarkKeccak256Into_32(b *testing.B) {
 	data := make([]byte, 32)
+	b.SetBytes(32)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Keccak256Into(&sink, data)
+	}
+}
+
+func benchmarkSum256(b *testing.B, size int) {
+	data := make([]byte, size)
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = Sum256(data)
+	}
+}
+
+func BenchmarkSum256_32(b *testing.B)  { benchmarkSum256(b, 32) }
+func BenchmarkSum256_532(b *testing.B) { benchmarkSum256(b, 532) }
+func BenchmarkSum256_1K(b *testing.B)  { benchmarkSum256(b, 1024) }
+
+// BenchmarkKeccakF times the keccak-f[1600] permutation alone.
+func BenchmarkKeccakF(b *testing.B) {
+	var a [25]uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keccakF(&a)
+	}
+	sink[0] = byte(a[0])
+}
+
+// keccakFReference is the textbook keccak-f[1600]: one loop iteration per
+// round, the five steps written out with modular lane indexing. It is slow
+// and obviously shaped like the specification, which is what the unrolled
+// keccakF is checked against.
+func keccakFReference(a *[25]uint64) {
+	// rotationOffsets holds the rho-step rotation for lane (x, y) at index x+5y.
+	rotationOffsets := [25]int{
+		0, 1, 62, 28, 27,
+		36, 44, 6, 55, 20,
+		3, 10, 43, 25, 39,
+		41, 45, 15, 21, 8,
+		18, 2, 61, 56, 14,
+	}
+	for round := 0; round < 24; round++ {
+		// theta
+		var c [5]uint64
+		for x := 0; x < 5; x++ {
+			c[x] = a[x] ^ a[x+5] ^ a[x+10] ^ a[x+15] ^ a[x+20]
+		}
+		for x := 0; x < 5; x++ {
+			d := c[(x+4)%5] ^ bits.RotateLeft64(c[(x+1)%5], 1)
+			for y := 0; y < 25; y += 5 {
+				a[x+y] ^= d
+			}
+		}
+		// rho and pi
+		var b [25]uint64
+		for x := 0; x < 5; x++ {
+			for y := 0; y < 5; y++ {
+				b[y+5*((2*x+3*y)%5)] = bits.RotateLeft64(a[x+5*y], rotationOffsets[x+5*y])
+			}
+		}
+		// chi
+		for y := 0; y < 25; y += 5 {
+			for x := 0; x < 5; x++ {
+				a[x+y] = b[x+y] ^ (^b[(x+1)%5+y] & b[(x+2)%5+y])
+			}
+		}
+		// iota
+		a[0] ^= roundConstants[round]
+	}
+}
+
+// referenceSum is a byte-at-a-time legacy Keccak-256 sponge over
+// keccakFReference. It shares no code with the package's sponge: the
+// message is padded up front, lanes are assembled byte by byte, and the
+// digest is squeezed byte by byte.
+func referenceSum(data []byte) [32]byte {
+	padded := append(append([]byte(nil), data...), 0x01)
+	for len(padded)%rate != 0 {
+		padded = append(padded, 0)
+	}
+	padded[len(padded)-1] |= 0x80
+	var a [25]uint64
+	for off := 0; off < len(padded); off += rate {
+		for i := 0; i < rate; i++ {
+			a[i/8] ^= uint64(padded[off+i]) << (8 * (i % 8))
+		}
+		keccakFReference(&a)
+	}
 	var out [32]byte
-	b.SetBytes(32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Keccak256Into(&out, data)
+	for i := range out {
+		out[i] = byte(a[i/8] >> (8 * (i % 8)))
+	}
+	return out
+}
+
+// TestReferenceSumKnownAnswers anchors the reference sponge to the
+// published vectors, so the checks below compare against a known-good
+// oracle.
+func TestReferenceSumKnownAnswers(t *testing.T) {
+	for _, v := range katVectors {
+		got := referenceSum([]byte(v.in))
+		if hex.EncodeToString(got[:]) != v.want {
+			t.Errorf("referenceSum(%q) = %x, want %s", v.in, got, v.want)
+		}
 	}
 }
 
-func BenchmarkKeccak256_32(b *testing.B) {
-	data := make([]byte, 32)
-	b.SetBytes(32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Sum256(data)
+func TestKeccakFMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1600))
+	for i := 0; i < 10000; i++ {
+		var got, want [25]uint64
+		for j := range got {
+			got[j] = r.Uint64()
+		}
+		want = got
+		keccakF(&got)
+		keccakFReference(&want)
+		if got != want {
+			t.Fatalf("state %d: keccakF diverges from the reference permutation", i)
+		}
 	}
 }
 
-func BenchmarkKeccak256_1K(b *testing.B) {
-	data := make([]byte, 1024)
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Sum256(data)
+// TestSpongeBoundaryLengths covers every padding edge of the 136-byte rate:
+// empty input, one byte, a word either side of 32, and one byte either side
+// of one and two full blocks.
+func TestSpongeBoundaryLengths(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 32, 33, 135, 136, 137, 271, 272, 273} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i*7 + n)
+		}
+		want := referenceSum(data)
+
+		if got := Sum256(data); got != want {
+			t.Errorf("Sum256(%d bytes) = %x, want %x", n, got, want)
+		}
+		var into [32]byte
+		Keccak256Into(&into, data)
+		if into != want {
+			t.Errorf("Keccak256Into(%d bytes) = %x, want %x", n, into, want)
+		}
+		if got := Keccak256(data); !bytes.Equal(got, want[:]) {
+			t.Errorf("Keccak256(%d bytes) = %x, want %x", n, got, want)
+		}
+		k := NewKeccak()
+		k.Write(data)
+		if got := k.Sum(nil); !bytes.Equal(got, want[:]) {
+			t.Errorf("streaming(%d bytes) = %x, want %x", n, got, want)
+		}
 	}
+}
+
+// FuzzKeccakSponge checks that every way into the sponge agrees with the
+// reference: streaming Write in fuzzed chunk sizes with a SumInto after
+// every chunk (which must not disturb the final digest), Sum256, and
+// Keccak256Into over both the whole input and the chunk list.
+func FuzzKeccakSponge(f *testing.F) {
+	f.Add([]byte(""), []byte{})
+	f.Add([]byte("abc"), []byte{1})
+	f.Add(bytes.Repeat([]byte{0xa5}, 273), []byte{135, 1, 136})
+	f.Add(bytes.Repeat([]byte{0x5a}, 532), []byte{0, 33, 200, 7})
+	f.Fuzz(func(t *testing.T, data, splits []byte) {
+		want := referenceSum(data)
+
+		var chunks [][]byte
+		rest := data
+		for _, s := range splits {
+			if len(rest) == 0 {
+				break
+			}
+			n := int(s) % (len(rest) + 1)
+			chunks = append(chunks, rest[:n])
+			rest = rest[n:]
+		}
+		chunks = append(chunks, rest)
+
+		k := NewKeccak()
+		for _, c := range chunks {
+			k.Write(c)
+			var mid [32]byte
+			k.SumInto(&mid)
+		}
+		if got := k.Sum(nil); !bytes.Equal(got, want[:]) {
+			t.Fatalf("streaming Write+Sum = %x, want %x", got, want)
+		}
+		if got := Sum256(data); got != want {
+			t.Fatalf("Sum256 = %x, want %x", got, want)
+		}
+		var got [32]byte
+		Keccak256Into(&got, data)
+		if got != want {
+			t.Fatalf("Keccak256Into = %x, want %x", got, want)
+		}
+		Keccak256Into(&got, chunks...)
+		if got != want {
+			t.Fatalf("Keccak256Into over %d chunks = %x, want %x", len(chunks), got, want)
+		}
+	})
 }

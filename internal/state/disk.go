@@ -187,9 +187,10 @@ func (s *Snapshot) commitDisk(cs *ChangeSet) *Snapshot {
 
 // commitParallelDisk is CommitParallel on the disk backend: identical
 // per-account fan-out (lookups through flat+cache+store are all
-// thread-safe), with the persist and flat push in the serial tail. Produces
-// a snapshot bit-identical to commitDisk (the parity suite proves it across
-// worker counts and against the in-memory backend).
+// thread-safe), then a parallel hash of the accounts trie, with the persist
+// and flat push in the serial tail. Produces a snapshot bit-identical to
+// commitDisk (the parity suite proves it across worker counts and against
+// the in-memory backend).
 func (s *Snapshot) commitParallelDisk(cs *ChangeSet, workers int) *Snapshot {
 	n := len(cs.Accounts)
 	if workers <= 1 || n < minParallelCommitAccounts {
@@ -288,6 +289,9 @@ func (s *Snapshot) commitParallelDisk(cs *ChangeSet, workers int) *Snapshot {
 		flatAccts[jobs[i].addr] = r.acct
 	}
 	ns.accounts.Batch(keys, leaves)
+	// Hash the accounts trie on all workers; PersistTrie then reuses the
+	// cached digests, so the serial tail only encodes and stages records.
+	ns.accounts.HashParallel(workers)
 	root := batch.PersistTrie(ns.accounts)
 	if err := batch.Commit(root); err != nil {
 		panic(fmt.Errorf("state: disk commit: %w", err))

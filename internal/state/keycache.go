@@ -1,6 +1,7 @@
 package state
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"blockpilot/internal/crypto"
@@ -21,7 +22,8 @@ import (
 // 16 ways with per-shard RWMutexes. Each shard is capacity-bounded; when a
 // shard fills up it is reset rather than evicted entry-by-entry, which
 // keeps the common case (a working set far below the cap) a single RLock +
-// map hit with zero allocations beyond the 32-byte digest itself.
+// map hit. A miss allocates only the 32-byte digest, which the map holds by
+// pointer and callers share as a slice.
 type keyCache struct {
 	shards [keyCacheShards]keyCacheShard
 }
@@ -29,57 +31,68 @@ type keyCache struct {
 const (
 	keyCacheShards = 16
 	// keyCacheShardCap bounds each shard (≈64K addresses + 64K slots across
-	// the cache, ~8 MB worst case) so a long-lived chain cannot grow it
+	// the cache, ~10 MB worst case) so a long-lived chain cannot grow it
 	// without bound.
 	keyCacheShardCap = 4096
 )
 
 type keyCacheShard struct {
 	mu    sync.RWMutex
-	addrs map[types.Address][]byte
-	slots map[types.Hash][]byte
+	addrs map[types.Address]*[32]byte
+	slots map[types.Hash]*[32]byte
 }
 
 func newKeyCache() *keyCache { return &keyCache{} }
 
+// keyShard picks a key's shard from a fold of its first and last four
+// bytes. Keys are not uniform in any single byte: workload addresses share
+// their leading kind byte and differ in a trailing counter, and mapping
+// slots are left-padded addresses whose first byte is always zero. Folding
+// both ends spreads those across all shards, and keeps spreading real
+// keccak-derived keys, which are uniform everywhere.
+func keyShard(k []byte) int {
+	x := binary.LittleEndian.Uint32(k) ^ binary.BigEndian.Uint32(k[len(k)-4:])
+	x ^= x >> 16
+	x ^= x >> 8
+	return int(x & (keyCacheShards - 1))
+}
+
 // HashedAddr returns keccak(addr.Bytes()), memoized.
 func (c *keyCache) HashedAddr(addr types.Address) []byte {
-	sh := &c.shards[addr[0]&(keyCacheShards-1)]
+	sh := &c.shards[keyShard(addr[:])]
 	sh.mu.RLock()
-	h, ok := sh.addrs[addr]
+	d, ok := sh.addrs[addr]
 	sh.mu.RUnlock()
 	if ok {
-		return h
+		return d[:]
 	}
-	var d [32]byte
-	crypto.Keccak256Into(&d, addr[:])
-	h = d[:]
+	d = new([32]byte)
+	crypto.Keccak256Into(d, addr[:])
 	sh.mu.Lock()
 	if sh.addrs == nil || len(sh.addrs) >= keyCacheShardCap {
-		sh.addrs = make(map[types.Address][]byte, 64)
+		sh.addrs = make(map[types.Address]*[32]byte, 64)
 	}
-	sh.addrs[addr] = h
+	sh.addrs[addr] = d
 	sh.mu.Unlock()
-	return h
+	return d[:]
 }
 
 // HashedSlot returns keccak(slot.Bytes()), memoized.
 func (c *keyCache) HashedSlot(slot types.Hash) []byte {
-	sh := &c.shards[slot[0]&(keyCacheShards-1)]
+	sh := &c.shards[keyShard(slot[:])]
 	sh.mu.RLock()
-	h, ok := sh.slots[slot]
+	d, ok := sh.slots[slot]
 	sh.mu.RUnlock()
 	if ok {
-		return h
+		return d[:]
 	}
-	var d [32]byte
-	crypto.Keccak256Into(&d, slot[:])
-	h = d[:]
+	d = new([32]byte)
+	crypto.Keccak256Into(d, slot[:])
 	sh.mu.Lock()
 	if sh.slots == nil || len(sh.slots) >= keyCacheShardCap {
-		sh.slots = make(map[types.Hash][]byte, 64)
+		sh.slots = make(map[types.Hash]*[32]byte, 64)
 	}
-	sh.slots[slot] = h
+	sh.slots[slot] = d
 	sh.mu.Unlock()
-	return h
+	return d[:]
 }

@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 
 	"blockpilot/internal/crypto"
-	"blockpilot/internal/rlp"
 	"blockpilot/internal/telemetry"
 	"blockpilot/internal/trie/store"
 )
@@ -253,13 +252,14 @@ func (b *Batch) PersistTrie(t *Trie) [32]byte {
 	if t.db != b.db {
 		panic("trie: PersistTrie against a different Database")
 	}
-	persistNode(b.sb, t.root)
-	rootEnc := encodeNode(t.root)
-	rootHash := crypto.Sum256(rootEnc)
-	if len(rootEnc) < 32 {
+	ref := persistNode(b.sb, t.root)
+	rootHash, ok := refHash(ref)
+	if !ok {
 		// Small roots are embedded nowhere (the root has no parent): store
 		// them by hash so the anchor resolves — the Ethereum root-hash rule.
-		b.sb.Put(rootHash, rootEnc)
+		// A small root's reference is its encoding.
+		rootHash = crypto.Sum256(ref)
+		b.sb.Put(rootHash, ref)
 	}
 	t.root = newHashNode(rootHash)
 	return rootHash
@@ -273,6 +273,8 @@ func (b *Batch) Commit(root [32]byte) error {
 // persistNode stages n's subtree bottom-up and returns n's parent reference,
 // filling the enc cache as it goes (so each node is encoded exactly once per
 // persist, and the parent's encodeNode reuses the children's cached refs).
+// A node whose reference was already cached by Hash or HashParallel is not
+// hashed again: its record is staged under the digest in that reference.
 func persistNode(sb *store.Batch, n node) []byte {
 	switch nd := n.(type) {
 	case *hashNode:
@@ -286,16 +288,22 @@ func persistNode(sb *store.Batch, n node) []byte {
 			}
 		}
 	}
-	enc := encodeNode(n)
-	var ref []byte
-	if len(enc) < 32 {
-		ref = enc // embedded in the parent, not stored on its own
-	} else {
-		h := crypto.Sum256(enc)
-		sb.Put(h, enc)
-		ref = rlp.EncodeString(h[:])
+	slot := n.cache()
+	if p := slot.Load(); p != nil {
+		h, ok := refHash(*p)
+		if !ok {
+			return *p // embedded in the parent, not stored on its own
+		}
+		sb.Put(h, encodeNode(n))
+		return *p
 	}
-	n.cache().Store(&ref)
+	ref := encodeNode(n)
+	if len(ref) >= 32 {
+		enc := ref
+		ref = newHashRef(enc)
+		sb.Put([32]byte(ref[1:]), enc)
+	}
+	slot.Store(&ref)
 	return ref
 }
 

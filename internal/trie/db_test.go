@@ -246,3 +246,46 @@ func TestMissingNodePanics(t *testing.T) {
 	stale.ForEach(func(k, v []byte) bool { return true })
 	t.Fatal("unreachable")
 }
+
+// TestPersistWarmColdParity guards the reused-hash path in persistNode: a
+// trie whose reference caches were warmed by HashParallel (or Hash) and an
+// independently built cold twin must stage the same (hash, encoding)
+// records in the same order and return the same root, so their store files
+// are byte-identical after every round. The first round is a one-key trie
+// whose root is shorter than 32 bytes; later rounds grow past the fan-out
+// threshold and mutate on top of persisted hashNode boundaries.
+func TestPersistWarmColdParity(t *testing.T) {
+	r := rand.New(rand.NewSource(1600))
+	warmDB, coldDB := openTestDB(t, 64), openTestDB(t, 64)
+	warm, cold := NewDB(warmDB), NewDB(coldDB)
+	for round := 0; round < 8; round++ {
+		var keys, vals [][]byte
+		if round == 0 {
+			keys, vals = [][]byte{{1}}, [][]byte{{2}}
+		} else {
+			keys, vals = randomKV(r, 40*round)
+		}
+		warm.Batch(keys, vals)
+		cold.Batch(keys, vals)
+		if round%2 == 0 {
+			warm.HashParallel(4)
+		} else {
+			warm.Hash()
+		}
+		wr, cr := persistTrie(t, warmDB, warm), persistTrie(t, coldDB, cold)
+		if wr != cr {
+			t.Fatalf("round %d: warm root %x, cold root %x", round, wr, cr)
+		}
+		wf, err := warmDB.Store().ReadFileForTest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, err := coldDB.Store().ReadFileForTest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wf, cf) {
+			t.Fatalf("round %d: warm and cold persists staged different records", round)
+		}
+	}
+}

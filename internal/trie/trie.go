@@ -350,6 +350,30 @@ func encodeNode(n node) []byte {
 	return rlp.EncodeString(nil)
 }
 
+// hashRefLen is the length of a hash reference: the RLP string header
+// 0x80+32 followed by the 32-byte digest. An embedded reference is a node
+// encoding shorter than 32 bytes, so a cached reference of this length is
+// always a hash reference.
+const hashRefLen = 33
+
+// refHash returns the digest inside a reference, or false when ref is an
+// embedded node encoding.
+func refHash(ref []byte) ([32]byte, bool) {
+	if len(ref) != hashRefLen {
+		return [32]byte{}, false
+	}
+	return [32]byte(ref[1:]), true
+}
+
+// newHashRef hashes enc straight into a fresh hash reference: one
+// allocation, no intermediate digest slice.
+func newHashRef(enc []byte) []byte {
+	ref := make([]byte, hashRefLen)
+	ref[0] = 0x80 + 32
+	crypto.Keccak256Into((*[32]byte)(ref[1:]), enc)
+	return ref
+}
+
 // nodeRef returns how a child is referenced inside its parent: embedded
 // directly when its encoding is shorter than 32 bytes, by keccak hash
 // otherwise. The result is cached on the node. A hashNode's reference IS
@@ -364,12 +388,9 @@ func nodeRef(n node) []byte {
 		slot.Store(&ref)
 		return ref
 	}
-	enc := encodeNode(n)
-	var ref []byte
-	if len(enc) < 32 {
-		ref = enc
-	} else {
-		ref = rlp.EncodeString(crypto.Keccak256(enc))
+	ref := encodeNode(n)
+	if len(ref) >= 32 {
+		ref = newHashRef(ref)
 	}
 	slot.Store(&ref)
 	return ref
@@ -377,6 +398,8 @@ func nodeRef(n node) []byte {
 
 // Hash returns the trie's root hash (the Ethereum state root rule:
 // keccak256 of the root node encoding, or EmptyRoot for an empty trie).
+// The root's reference is cached like any other node's, so hashing an
+// unchanged trie again, or persisting it, reuses the digest.
 func (t *Trie) Hash() [32]byte {
 	switch nd := t.root.(type) {
 	case nil:
@@ -384,7 +407,11 @@ func (t *Trie) Hash() [32]byte {
 	case *hashNode:
 		return nd.hash // persisted root: the hash is already known
 	default:
-		return crypto.Sum256(encodeNode(t.root))
+		ref := nodeRef(t.root)
+		if h, ok := refHash(ref); ok {
+			return h
+		}
+		return crypto.Sum256(ref) // a small root is its own encoding
 	}
 }
 
