@@ -195,10 +195,12 @@ func (in *Instance) tryExecute(sched *Scheduler, worker int, task Task) (Task, b
 			return Task{}, false
 		}
 		in.executions.Add(1)
-		if task.Inc > 0 {
+		// A re-execution is a completion after an earlier one. The
+		// incarnation number is not the test: resuming a suspended
+		// transaction bumps it without any incarnation having completed.
+		if in.data[task.Idx].Swap(res) != nil {
 			in.reexecutions.Add(1)
 		}
-		in.data[task.Idx].Store(res)
 		wroteNew := in.mem.Record(task.Idx, task.Inc, res.reads, res.out.Writes)
 		return sched.FinishExecution(task.Idx, task.Inc, wroteNew)
 	}
